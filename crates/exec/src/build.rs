@@ -6,9 +6,10 @@ use tukwila_common::Result;
 use tukwila_plan::{JoinKind, OperatorNode, OperatorSpec, SubjectRef};
 
 use crate::operator::OperatorBox;
+use crate::operators::exchange::Scatter;
 use crate::operators::{
     Collector, DependentJoin, DoublePipelinedJoin, Exchange, Filter, HashJoinOp, NestedLoopsJoin,
-    Project, RemoteExchange, SortMergeJoin, TableScan, UnionAll, WrapperScan,
+    Project, SortMergeJoin, TableScan, UnionAll, WrapperScan,
 };
 use crate::runtime::{OpHarness, PlanRuntime};
 
@@ -45,29 +46,15 @@ pub fn build_operator(node: &OperatorNode, rt: &Arc<PlanRuntime>) -> Result<Oper
             right_key,
             kind,
             overflow: _,
-        } => {
-            let l = build_operator(left, rt)?;
-            let r = build_operator(right, rt)?;
-            let (lk, rk) = (left_key.clone(), right_key.clone());
-            match kind {
-                JoinKind::DoublePipelined => {
-                    let descendants: Vec<SubjectRef> = left
-                        .all_ids()
-                        .into_iter()
-                        .chain(right.all_ids())
-                        .map(SubjectRef::Op)
-                        .collect();
-                    Box::new(
-                        DoublePipelinedJoin::new(l, r, lk, rk, harness)
-                            .with_descendants(descendants),
-                    )
-                }
-                JoinKind::HybridHash => Box::new(HashJoinOp::hybrid(l, r, lk, rk, harness)),
-                JoinKind::GraceHash => Box::new(HashJoinOp::grace(l, r, lk, rk, harness)),
-                JoinKind::NestedLoops => Box::new(NestedLoopsJoin::new(l, r, lk, rk, harness)),
-                JoinKind::SortMerge => Box::new(SortMergeJoin::new(l, r, lk, rk, harness)),
-            }
-        }
+        } => build_join(
+            *kind,
+            build_operator(left, rt)?,
+            build_operator(right, rt)?,
+            left_key.clone(),
+            right_key.clone(),
+            harness,
+            subtree_subjects(left, right),
+        ),
         OperatorSpec::DependentJoin {
             left,
             source,
@@ -98,59 +85,74 @@ pub fn build_operator(node: &OperatorNode, rt: &Arc<PlanRuntime>) -> Result<Oper
             harness,
         )),
         OperatorSpec::Exchange { input, partitions } => {
-            // With a shard executor installed (coordinator role), the
-            // exchange scatters the join's partition pipelines to worker
-            // processes instead of local threads. Sharding by join-key
-            // hash is correct for any equi-join kind, so the remote path
-            // is not limited to the thread-partitionable ones.
-            if rt.env().shard_executor.is_some() {
-                if let OperatorSpec::Join { .. } = &input.spec {
-                    let join_harness = OpHarness::new(rt.clone(), SubjectRef::Op(input.id));
-                    return Ok(Box::new(RemoteExchange::new(
-                        (**input).clone(),
-                        *partitions,
-                        harness,
-                        join_harness,
-                    )));
-                }
-            }
-            // Partition only hash-partitionable joins with an actual
-            // degree; everything else executes as a transparent
+            let OperatorSpec::Join {
+                left,
+                right,
+                left_key,
+                right_key,
+                kind,
+                overflow: _,
+            } = &input.spec
+            else {
+                return build_operator(input, rt);
+            };
+            // With a shard executor installed (coordinator role) the
+            // partitions run on worker processes; sharding by join-key
+            // hash is correct for any equi-join kind. Without one, only
+            // hash-partitionable joins with an actual degree run on
+            // threads; everything else executes as a transparent
             // passthrough (the wrapper node stays registered but idle).
-            match &input.spec {
-                OperatorSpec::Join {
-                    left,
-                    right,
-                    left_key,
-                    right_key,
-                    kind,
-                    overflow: _,
-                } if *partitions > 1 && crate::operators::is_partitionable(*kind) => {
-                    let l = build_operator(left, rt)?;
-                    let r = build_operator(right, rt)?;
-                    let descendants: Vec<SubjectRef> = left
-                        .all_ids()
-                        .into_iter()
-                        .chain(right.all_ids())
-                        .map(SubjectRef::Op)
-                        .collect();
-                    let join_harness = OpHarness::new(rt.clone(), SubjectRef::Op(input.id));
-                    Box::new(
-                        Exchange::new(
-                            l,
-                            r,
-                            left_key.clone(),
-                            right_key.clone(),
-                            *kind,
-                            *partitions,
-                            harness,
-                            join_harness,
-                        )
-                        .with_descendants(descendants),
-                    )
+            let scatter = if rt.env().shard_executor.is_some() {
+                Scatter::Workers((**input).clone())
+            } else if *partitions > 1 && kind.is_hash_partitionable() {
+                Scatter::Threads {
+                    left: build_operator(left, rt)?,
+                    right: build_operator(right, rt)?,
+                    left_key: left_key.clone(),
+                    right_key: right_key.clone(),
+                    kind: *kind,
                 }
-                _ => build_operator(input, rt)?,
-            }
+            } else {
+                return build_operator(input, rt);
+            };
+            let join_harness = OpHarness::new(rt.clone(), SubjectRef::Op(input.id));
+            Box::new(
+                Exchange::new(scatter, *partitions, harness, join_harness)
+                    .with_descendants(subtree_subjects(left, right)),
+            )
         }
     })
+}
+
+/// The one place a [`JoinKind`] becomes a join operator. `descendants`
+/// (the subjects of both input subtrees) lets a double pipelined join
+/// wake drivers parked in link-model sleeps when it closes early; the
+/// other kinds pull their children on the calling thread and ignore it.
+pub fn build_join(
+    kind: JoinKind,
+    l: OperatorBox,
+    r: OperatorBox,
+    lk: String,
+    rk: String,
+    harness: OpHarness,
+    descendants: Vec<SubjectRef>,
+) -> OperatorBox {
+    match kind {
+        JoinKind::DoublePipelined => {
+            Box::new(DoublePipelinedJoin::new(l, r, lk, rk, harness).with_descendants(descendants))
+        }
+        JoinKind::HybridHash => Box::new(HashJoinOp::hybrid(l, r, lk, rk, harness)),
+        JoinKind::GraceHash => Box::new(HashJoinOp::grace(l, r, lk, rk, harness)),
+        JoinKind::NestedLoops => Box::new(NestedLoopsJoin::new(l, r, lk, rk, harness)),
+        JoinKind::SortMerge => Box::new(SortMergeJoin::new(l, r, lk, rk, harness)),
+    }
+}
+
+/// Subjects of every operator under a join's two inputs.
+pub(crate) fn subtree_subjects(left: &OperatorNode, right: &OperatorNode) -> Vec<SubjectRef> {
+    left.all_ids()
+        .into_iter()
+        .chain(right.all_ids())
+        .map(SubjectRef::Op)
+        .collect()
 }

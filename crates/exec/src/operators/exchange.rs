@@ -1,62 +1,76 @@
-//! Partitioned exchange pipelines — intra-query parallelism for the
-//! hash-based joins.
+//! The exchange operator: one join split into N hash partitions whose
+//! result streams merge in arrival order (DESIGN.md §8, §12).
 //!
-//! The `Exchange`/`Repartition` pair splits one logical join into N
-//! independent instances:
+//! [`Exchange`] merges N [`ShardStream`]s and owns, once, everything around
+//! them: a pump thread per stream, the bounded output channel, the
+//! `next_batch` loop, the close path and the `note_exchange` +
+//! `PartitionSkew` report. Only where `open` gets the streams differs
+//! ([`Scatter`]):
 //!
-//! * two **repartition drivers** (one per input) pull the real child
-//!   operators and hash-partition every batch by the join key's Fx prehash
-//!   (`fold_hash` with a dedicated salt, so partition routing does not
-//!   correlate with the joins' internal bucket routing) into per-partition
-//!   bounded channels — NULL-keyed rows are dropped at the split, exactly
-//!   as the joins themselves would drop them;
-//! * N **partition workers** each run a private instance of the join
-//!   (double-pipelined, hybrid or Grace hash) whose children are
-//!   [`PartitionSource`]s reading the partition's channels, under a
-//!   partition harness: shared subject statistics and overflow method, but
-//!   a memory reservation split off the plan operator's reservation via
-//!   parent-chaining (so the governor's query/fleet pressure reaches every
-//!   instance and the instances' combined usage is capped by the plan
-//!   budget) and a scoped spill store for per-partition I/O attribution;
-//! * the [`Exchange`] operator itself merges output batches in arrival
-//!   order — an order-insensitive union, so the result is multiset-equal
-//!   to the sequential join.
+//! * **Threads** — two repartition drivers pull the real inputs once and
+//!   split every batch with [`route_batch`] into bounded per-partition
+//!   channels; each stream is a private join instance reading its
+//!   channels under a partition harness (shared subject statistics and
+//!   overflow method, a budget/N reservation parent-chained to the join's,
+//!   a scoped spill store for per-partition I/O attribution).
+//! * **Workers** — the join subtree ships as plan text through the
+//!   environment's [`ShardExecutor`]; every worker recomputes the inputs
+//!   and keeps its shard with the same [`route_batch`]. Each shard's pump
+//!   holds a budget/N lease on the join reservation while it runs.
 //!
-//! Equi-join correctness under hash partitioning: tuples with equal keys
-//! hash identically, so every matching pair meets in exactly one
-//! partition and no pair meets twice.
+//! Two hazards shape the shared code. An in-process instance opens on its
+//! pump thread: a hash join's `open` runs its whole build phase, and
+//! instance 0 building on the operator thread would block on partition
+//! channels instance 1 never drains. And an early close must wake
+//! everything upstream: it drops the output channel, sets every stream's
+//! abort flag (also registered with the query control, so cancellation
+//! and deadlines unblock worker reads), and deactivates the descendant
+//! subjects so drivers parked in link-model sleeps wake up.
+//!
+//! Equal keys route to the same partition, so every matching pair meets in
+//! exactly one partition: the union is multiset-equal to the sequential
+//! join.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use crossbeam_channel::{bounded, Receiver, Sender};
 
-use tukwila_common::{fold_hash, KeyVector, Result, Schema, TukwilaError, Tuple, TupleBatch};
-use tukwila_plan::{JoinKind, QuantityProvider, SubjectRef};
-use tukwila_storage::{MemoryManager, ScopedSpillStore, SpillStore};
+use tukwila_common::{Result, Schema, TukwilaError, TupleBatch};
+use tukwila_plan::{JoinKind, OpState, OperatorNode, QuantityProvider, SubjectRef};
+use tukwila_storage::{MemoryManager, MemoryReservation, ScopedSpillStore, SpillStore};
 use tukwila_trace::{OpMetrics, TraceEvent};
 
+use crate::build::build_join;
+use crate::control::QueryControl;
 use crate::operator::{Operator, OperatorBox};
-use crate::operators::{DoublePipelinedJoin, HashJoinOp};
 use crate::runtime::OpHarness;
-
-/// Salt for partition routing — distinct from the joins' bucket salt (0)
-/// and the `PrehashMap` slot salt, so the three layers of the same prehash
-/// stay uncorrelated.
-pub(crate) const EXCHANGE_SALT: u64 = 0x5851_F42D_4C95_7F2D;
+use crate::shard::{
+    route_batch, subtree_plan_text, subtree_table_deps, ShardExecutor, ShardSpec, ShardStats,
+    ShardStream,
+};
 
 /// Bounded per-partition channel capacity, in batches. Large enough that a
 /// hybrid join's probe side can run ahead while the build side drains,
 /// small enough to bound buffered memory.
 const PARTITION_QUEUE_CAP: usize = 8;
 
-/// Whether `kind` can be parallelized by hash partitioning on the join
-/// keys (delegates to the plan-level predicate shared with the
-/// optimizer's lowering).
-pub fn is_partitionable(kind: JoinKind) -> bool {
-    kind.is_hash_partitionable()
+/// Where an exchange's partition streams come from.
+pub enum Scatter {
+    /// Instances of a hash-partitionable join on threads of this process,
+    /// fed by two repartition drivers pulling the built (unopened) inputs.
+    Threads {
+        left: OperatorBox,
+        right: OperatorBox,
+        left_key: String,
+        right_key: String,
+        kind: JoinKind,
+    },
+    /// Shards of this join subtree on worker processes, through the
+    /// environment's shard executor.
+    Workers(OperatorNode),
 }
 
 enum Msg {
@@ -65,22 +79,22 @@ enum Msg {
     Err(TukwilaError),
 }
 
+/// Partition `i`'s slice of the join reservation: budget/N,
+/// parent-chained so every charge rolls up into the join's reservation
+/// (and from there into the query and fleet pools).
+fn partition_reservation(parent: &MemoryReservation, i: usize, n: usize) -> MemoryReservation {
+    MemoryManager::with_parent(parent.clone()).register(
+        format!("{}p{i}", parent.name()),
+        (parent.budget() / n).max(1),
+    )
+}
+
 /// Consumer end of one repartitioned stream — the leaf each partition
-/// instance's join pulls from.
+/// instance's join pulls from. The receiver is dropped at the stream's end
+/// or on close, so a driver still sending to it stops.
 struct PartitionSource {
     rx: Option<Receiver<Msg>>,
     schema: Schema,
-    done: bool,
-}
-
-impl PartitionSource {
-    fn new(rx: Receiver<Msg>, schema: Schema) -> Self {
-        PartitionSource {
-            rx: Some(rx),
-            schema,
-            done: false,
-        }
-    }
 }
 
 impl Operator for PartitionSource {
@@ -89,30 +103,22 @@ impl Operator for PartitionSource {
     }
 
     fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
-        if self.done {
-            return Ok(None);
-        }
         let Some(rx) = &self.rx else {
             return Ok(None);
         };
-        match rx.recv() {
+        let msg = rx.recv();
+        if !matches!(msg, Ok(Msg::Batch(_))) {
+            self.rx = None;
+        }
+        match msg {
             Ok(Msg::Batch(b)) => Ok(Some(b)),
-            Ok(Msg::End) => {
-                self.done = true;
-                Ok(None)
-            }
-            Ok(Msg::Err(e)) => {
-                self.done = true;
-                Err(e)
-            }
+            Ok(Msg::End) => Ok(None),
+            Ok(Msg::Err(e)) => Err(e),
             // A driver never exits without sending End or Err to every
             // partition; a bare disconnect means it died abnormally.
-            Err(_) => {
-                self.done = true;
-                Err(TukwilaError::Internal(
-                    "exchange repartition stream disconnected".into(),
-                ))
-            }
+            Err(_) => Err(TukwilaError::Internal(
+                "exchange repartition stream disconnected".into(),
+            )),
         }
     }
 
@@ -130,77 +136,156 @@ impl Operator for PartitionSource {
     }
 }
 
-/// Repartition driver: drain `child`, split every batch across `txs` by
-/// key prehash, drop NULL keys, propagate end/error to every partition.
+/// Repartition driver: drain `child`, split every batch across `txs` with
+/// [`route_batch`], propagate end/error to every partition.
 fn drive_side(mut child: OperatorBox, key_idx: usize, txs: Vec<Sender<Msg>>) {
-    let n = txs.len();
-    loop {
+    let end = loop {
         match child.next_batch() {
             Ok(Some(batch)) => {
-                // One column-kernel hash pass routes the whole batch; the
-                // partitions are carved out columnar (gather by index) when
-                // the batch is, so partition streams stay typed end-to-end.
-                let kv = KeyVector::compute(&batch, key_idx);
-                let sent = if let Some(cols) = batch.columns() {
-                    let mut idx: Vec<Vec<u32>> = vec![Vec::new(); n];
-                    for (i, h) in kv.iter().enumerate() {
-                        if let Some(h) = h {
-                            idx[fold_hash(h, n, EXCHANGE_SALT)].push(i as u32);
-                        }
-                    }
-                    idx.into_iter().enumerate().try_for_each(|(p, rows)| {
-                        if rows.is_empty() {
-                            return Ok(());
-                        }
-                        txs[p].send(Msg::Batch(TupleBatch::from_columns(cols.gather(&rows))))
-                    })
-                } else {
-                    let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); n];
-                    for (i, t) in batch.into_iter().enumerate() {
-                        if let Some(h) = kv.get(i) {
-                            parts[fold_hash(h, n, EXCHANGE_SALT)].push(t);
-                        }
-                    }
-                    parts.into_iter().enumerate().try_for_each(|(p, tuples)| {
-                        if tuples.is_empty() {
-                            return Ok(());
-                        }
-                        txs[p].send(Msg::Batch(TupleBatch::from_tuples(tuples)))
-                    })
-                };
+                let sent = route_batch(batch, key_idx, txs.len(), None)
+                    .into_iter()
+                    .try_for_each(|(p, part)| txs[p].send(Msg::Batch(part)));
                 if sent.is_err() {
-                    // Consumer went away (early close): stop driving.
-                    let _ = child.close();
-                    return;
+                    break None; // consumer went away (early close)
                 }
             }
-            Ok(None) => break,
-            Err(e) => {
-                for tx in &txs {
-                    let _ = tx.send(Msg::Err(e.clone()));
-                }
-                let _ = child.close();
-                return;
-            }
+            Ok(None) => break Some(Ok(())),
+            Err(e) => break Some(Err(e)),
         }
-    }
-    for tx in &txs {
-        let _ = tx.send(Msg::End);
+    };
+    if let Some(end) = end {
+        for tx in &txs {
+            let _ = tx.send(end.clone().map_or_else(Msg::Err, |()| Msg::End));
+        }
     }
     let _ = child.close();
 }
 
-struct Prep {
-    left: OperatorBox,
-    right: OperatorBox,
-    left_key: String,
-    right_key: String,
-    kind: JoinKind,
+/// One in-process partition as a shard stream: a private join instance
+/// over the partition's repartitioned inputs. `open` only reports the
+/// schema; the instance opens on the first `next_batch`, i.e. on its pump
+/// thread, and closes once drained, failed, aborted or dropped.
+struct PartitionStream {
+    /// The join instance; `None` once closed.
+    instance: Option<OperatorBox>,
+    opened: bool,
+    schema: Schema,
+    spill: Arc<ScopedSpillStore>,
+    control: Arc<QueryControl>,
+    abort: Arc<AtomicBool>,
+    stats: ShardStats,
 }
 
-/// The partitioned exchange operator (see module docs).
+impl PartitionStream {
+    fn step(&mut self) -> Result<Option<TupleBatch>> {
+        let Some(instance) = self.instance.as_mut() else {
+            return Ok(None);
+        };
+        if self.abort.load(Ordering::Relaxed) {
+            return Err(self
+                .control
+                .check()
+                .err()
+                .unwrap_or_else(|| TukwilaError::Cancelled("exchange partition aborted".into())));
+        }
+        if !std::mem::replace(&mut self.opened, true) {
+            instance.open()?;
+        }
+        instance.next_batch()
+    }
+
+    fn close(&mut self) {
+        if let Some(mut instance) = self.instance.take() {
+            if self.opened {
+                let _ = instance.close();
+            }
+        }
+    }
+}
+
+impl ShardStream for PartitionStream {
+    fn open(&mut self) -> Result<Schema> {
+        Ok(self.schema.clone())
+    }
+
+    fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
+        let step = self.step();
+        match &step {
+            Ok(Some(batch)) => {
+                self.stats.rows += batch.len() as u64;
+                self.stats.batches += 1;
+            }
+            _ => self.close(),
+        }
+        step
+    }
+
+    fn stats(&self) -> ShardStats {
+        ShardStats {
+            spill_tuples: self.spill.stats().tuples_written() as u64,
+            ..self.stats
+        }
+    }
+
+    fn abort_handle(&self) -> Arc<AtomicBool> {
+        self.abort.clone()
+    }
+}
+
+impl Drop for PartitionStream {
+    fn drop(&mut self) {
+        self.close();
+    }
+}
+
+/// The streams a mode's `open` produced, plus what runs beside them.
+struct Started {
+    streams: Vec<Box<dyn ShardStream>>,
+    /// Repartition drivers (threads), spawned once the exchange is open.
+    drivers: Vec<Box<dyn FnOnce() + Send>>,
+    /// Per-shard leases on the join reservation (workers), held by each
+    /// stream's pump while it runs.
+    leases: Vec<Option<MemoryReservation>>,
+}
+
+/// Drain one partition stream into the merge channel: count its rows,
+/// hold its lease while it runs, record its spill total, end with End or
+/// Err.
+fn pump(
+    mut stream: Box<dyn ShardStream>,
+    lease: Option<MemoryReservation>,
+    rows: Arc<AtomicU64>,
+    spills: Arc<AtomicU64>,
+    out: Sender<Msg>,
+) {
+    if let Some(r) = &lease {
+        r.charge(r.budget());
+    }
+    let result = (|| -> Result<()> {
+        while let Some(batch) = stream.next_batch()? {
+            rows.fetch_add(batch.len() as u64, Ordering::Relaxed);
+            if out.send(Msg::Batch(batch)).is_err() {
+                return Ok(()); // consumer gone (early close)
+            }
+        }
+        Ok(())
+    })();
+    spills.store(stream.stats().spill_tuples, Ordering::Relaxed);
+    // Done with the budget slice either way: the governor sees the memory
+    // come back even when the worker died mid-query.
+    if let Some(r) = lease {
+        r.release(r.budget());
+    }
+    drop(stream); // an in-process instance closes before its end marker
+    let _ = out.send(match result {
+        Ok(()) => Msg::End,
+        Err(e) => Msg::Err(e),
+    });
+}
+
+/// The exchange operator (see module docs).
 pub struct Exchange {
-    prep: Option<Prep>,
+    scatter: Option<Scatter>,
     partitions: usize,
     /// Harness of the exchange plan node (merge-side statistics).
     harness: OpHarness,
@@ -214,38 +299,29 @@ pub struct Exchange {
     schema: Schema,
     rx: Option<Receiver<Msg>>,
     threads: Vec<JoinHandle<()>>,
-    live_workers: usize,
-    part_spills: Vec<Arc<ScopedSpillStore>>,
-    /// Output rows per partition instance, for the skew snapshot.
-    part_rows: Vec<Arc<AtomicU64>>,
+    live: usize,
+    abort_flags: Vec<Arc<AtomicBool>>,
+    /// Output rows per partition, for the skew snapshot.
+    rows: Vec<Arc<AtomicU64>>,
+    /// Spilled tuples per partition, for `note_exchange`.
+    spills: Vec<Arc<AtomicU64>>,
     metrics: Option<Arc<OpMetrics>>,
     reported: bool,
     opened: bool,
 }
 
 impl Exchange {
-    /// Build an exchange running `partitions` instances of the described
-    /// join. `harness` is the exchange node's; `join_harness` the inner
-    /// join node's.
-    #[allow(clippy::too_many_arguments)]
+    /// An exchange running `partitions` partitions of the join described
+    /// by `scatter`. `harness` is the exchange node's; `join_harness` the
+    /// inner join node's.
     pub fn new(
-        left: OperatorBox,
-        right: OperatorBox,
-        left_key: String,
-        right_key: String,
-        kind: JoinKind,
+        scatter: Scatter,
         partitions: usize,
         harness: OpHarness,
         join_harness: OpHarness,
     ) -> Self {
         Exchange {
-            prep: Some(Prep {
-                left,
-                right,
-                left_key,
-                right_key,
-                kind,
-            }),
+            scatter: Some(scatter),
             partitions: partitions.max(1),
             harness,
             join_harness,
@@ -253,9 +329,10 @@ impl Exchange {
             schema: Schema::empty(),
             rx: None,
             threads: Vec::new(),
-            live_workers: 0,
-            part_spills: Vec::new(),
-            part_rows: Vec::new(),
+            live: 0,
+            abort_flags: Vec::new(),
+            rows: Vec::new(),
+            spills: Vec::new(),
             metrics: None,
             reported: false,
             opened: false,
@@ -268,11 +345,141 @@ impl Exchange {
         self
     }
 
+    /// Open both inputs and wire N join instances to two repartition
+    /// drivers over bounded partition channels.
+    fn start_threads(
+        &self,
+        mut left: OperatorBox,
+        mut right: OperatorBox,
+        left_key: String,
+        right_key: String,
+        kind: JoinKind,
+    ) -> Result<Started> {
+        // Eligibility first, before any child holds resources (the
+        // builder only scatters partitionable kinds to threads, but
+        // hand-built plans reach this path too).
+        if !kind.is_hash_partitionable() {
+            return Err(TukwilaError::Plan(format!(
+                "exchange cannot partition a {kind:?} join"
+            )));
+        }
+        left.open()?;
+        if let Err(e) = right.open() {
+            let _ = left.close();
+            return Err(e);
+        }
+        let (lkey, rkey) = left
+            .schema()
+            .index_of(&left_key)
+            .and_then(|l| Ok((l, right.schema().index_of(&right_key)?)))
+            .inspect_err(|_| {
+                let _ = left.close();
+                let _ = right.close();
+            })?;
+        let (left_schema, right_schema) = (left.schema().clone(), right.schema().clone());
+        let schema = left_schema.concat(&right_schema);
+
+        let n = self.partitions;
+        let rt = self.harness.runtime();
+        let parent = self.join_harness.reservation();
+        let (mut ltxs, mut rtxs) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut streams: Vec<Box<dyn ShardStream>> = Vec::with_capacity(n);
+        for i in 0..n {
+            let (ltx, lrx) = bounded::<Msg>(PARTITION_QUEUE_CAP);
+            let (rtx, rrx) = bounded::<Msg>(PARTITION_QUEUE_CAP);
+            ltxs.push(ltx);
+            rtxs.push(rtx);
+            let spill = Arc::new(ScopedSpillStore::new(rt.env().spill.clone()));
+            let reservation = parent.as_ref().map(|p| partition_reservation(p, i, n));
+            let source = |rx, schema: &Schema| -> OperatorBox {
+                Box::new(PartitionSource {
+                    rx: Some(rx),
+                    schema: schema.clone(),
+                })
+            };
+            let instance = build_join(
+                kind,
+                source(lrx, &left_schema),
+                source(rrx, &right_schema),
+                left_key.clone(),
+                right_key.clone(),
+                self.join_harness.for_partition(reservation, spill.clone()),
+                Vec::new(),
+            );
+            streams.push(Box::new(PartitionStream {
+                instance: Some(instance),
+                opened: false,
+                schema: schema.clone(),
+                spill,
+                control: rt.control().clone(),
+                abort: Arc::new(AtomicBool::new(false)),
+                stats: ShardStats::default(),
+            }));
+        }
+        Ok(Started {
+            streams,
+            drivers: vec![
+                Box::new(move || drive_side(left, lkey, ltxs)),
+                Box::new(move || drive_side(right, rkey, rtxs)),
+            ],
+            leases: vec![None; n],
+        })
+    }
+
+    /// Dispatch N shards of `node` through the environment's shard
+    /// executor.
+    fn start_workers(&self, node: &OperatorNode) -> Result<Started> {
+        let n = self.partitions;
+        let rt = self.harness.runtime();
+        let executor: Arc<dyn ShardExecutor> = rt
+            .env()
+            .shard_executor
+            .clone()
+            .ok_or_else(|| TukwilaError::Internal("exchange without shard executor".into()))?;
+        let parent = self.join_harness.reservation();
+        let leases: Vec<Option<MemoryReservation>> = (0..n)
+            .map(|i| parent.as_ref().map(|p| partition_reservation(p, i, n)))
+            .collect();
+        // 0 = unbounded.
+        let shard_budget = leases[0].as_ref().map_or(0, |r| r.budget());
+        let deadline = rt
+            .control()
+            .deadline()
+            .map(|d| d.saturating_duration_since(Instant::now()));
+        let tables = subtree_table_deps(node)
+            .into_iter()
+            .map(|name| rt.env().local.get(&name).map(|rel| (name, rel)))
+            .collect::<Result<Vec<_>>>()?;
+        let spec = ShardSpec {
+            plan_text: subtree_plan_text(node, shard_budget),
+            tables,
+            shard_count: n,
+            batch_size: rt.env().batch_size,
+            shard_budget,
+            deadline,
+        };
+        let streams = executor.start(&spec, rt.control(), rt.trace())?;
+        if streams.len() != n {
+            return Err(TukwilaError::Internal(format!(
+                "shard executor started {} of {n} shards",
+                streams.len()
+            )));
+        }
+        Ok(Started {
+            streams,
+            drivers: Vec::new(),
+            leases,
+        })
+    }
+
     fn shutdown_threads(&mut self) {
         self.rx = None;
+        for flag in &self.abort_flags {
+            flag.store(true, Ordering::Relaxed);
+        }
+        let rt = self.harness.runtime();
         for d in &self.descendants {
-            let rt = self.harness.runtime();
-            if rt.state(*d) == tukwila_plan::OpState::Open {
+            if rt.state(*d) == OpState::Open {
                 rt.deactivate(*d);
             }
         }
@@ -284,24 +491,18 @@ impl Exchange {
     /// Push this run's per-partition spill counters into the runtime
     /// (once).
     fn report_partition_stats(&mut self) {
-        if self.reported || self.part_spills.is_empty() {
+        if self.reported || self.spills.is_empty() {
             return;
         }
         self.reported = true;
-        let spills: Vec<u64> = self
-            .part_spills
-            .iter()
-            .map(|s| s.stats().tuples_written() as u64)
-            .collect();
+        let load = |v: &[Arc<AtomicU64>]| -> Vec<u64> {
+            v.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+        };
         let rt = self.harness.runtime();
         let op = self.join_harness.op_id().unwrap_or(u32::MAX);
-        rt.note_exchange(op, &spills);
+        rt.note_exchange(op, &load(&self.spills));
         if rt.trace().events_enabled() {
-            let rows: Vec<u64> = self
-                .part_rows
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect();
+            let rows = load(&self.rows);
             rt.trace().emit(TraceEvent::PartitionSkew { op, rows });
         }
     }
@@ -309,144 +510,68 @@ impl Exchange {
 
 impl Operator for Exchange {
     fn open(&mut self) -> Result<()> {
-        let Prep {
-            mut left,
-            mut right,
-            left_key,
-            right_key,
-            kind,
-        } = self
-            .prep
-            .take()
-            .ok_or_else(|| TukwilaError::Internal("Exchange opened twice".into()))?;
-        // Eligibility first, before any child holds resources (the
-        // builder only constructs exchanges for partitionable kinds, but
-        // hand-built plans reach this path too).
-        if !is_partitionable(kind) {
-            return Err(TukwilaError::Plan(format!(
-                "exchange cannot partition a {kind:?} join"
-            )));
-        }
-        left.open()?;
-        if let Err(e) = right.open() {
-            let _ = left.close();
-            return Err(e);
-        }
-        // From here on, any failure must close both opened children.
-        let (lkey, rkey) = match (
-            left.schema().index_of(&left_key),
-            right.schema().index_of(&right_key),
-        ) {
-            (Ok(l), Ok(r)) => (l, r),
-            (l, r) => {
-                let _ = left.close();
-                let _ = right.close();
-                return Err(l.err().or(r.err()).unwrap());
-            }
+        let Started {
+            mut streams,
+            drivers,
+            leases,
+        } = match self.scatter.take() {
+            Some(Scatter::Threads {
+                left,
+                right,
+                left_key,
+                right_key,
+                kind,
+            }) => self.start_threads(left, right, left_key, right_key, kind)?,
+            Some(Scatter::Workers(node)) => self.start_workers(&node)?,
+            None => return Err(TukwilaError::Internal("Exchange opened twice".into())),
         };
-        let left_schema = left.schema().clone();
-        let right_schema = right.schema().clone();
-        self.schema = left_schema.concat(&right_schema);
 
-        let n = self.partitions;
-        let rt = self.harness.runtime();
-        let env_spill = rt.env().spill.clone();
-
-        // Split the join's memory reservation across the instances via
-        // parent-chaining: each partition gets budget/N, every charge
-        // rolls up into the plan operator's reservation (and from there
-        // into the query and fleet pools), and `under_pressure` on a
-        // partition sees overage at any layer.
-        let parent = self.join_harness.reservation();
-        let mut part_channels_l = Vec::with_capacity(n);
-        let mut part_channels_r = Vec::with_capacity(n);
-        let (out_tx, out_rx) = bounded::<Msg>(n.max(2) * 2);
-        self.part_spills = Vec::with_capacity(n);
-        self.part_rows = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        self.metrics = self.harness.metrics("exchange");
-        let mut instances: Vec<OperatorBox> = Vec::with_capacity(n);
-        for i in 0..n {
-            let (ltx, lrx) = bounded::<Msg>(PARTITION_QUEUE_CAP);
-            let (rtx, rrx) = bounded::<Msg>(PARTITION_QUEUE_CAP);
-            part_channels_l.push(ltx);
-            part_channels_r.push(rtx);
-            let scoped = Arc::new(ScopedSpillStore::new(env_spill.clone()));
-            self.part_spills.push(scoped.clone());
-            let reservation = parent.as_ref().map(|p| {
-                let budget = (p.budget() / n).max(1);
-                MemoryManager::with_parent(p.clone()).register(format!("{}p{i}", p.name()), budget)
-            });
-            let part_harness = self.join_harness.for_partition(i, reservation, scoped);
-            let lsrc: OperatorBox = Box::new(PartitionSource::new(lrx, left_schema.clone()));
-            let rsrc: OperatorBox = Box::new(PartitionSource::new(rrx, right_schema.clone()));
-            let instance: OperatorBox = match kind {
-                JoinKind::DoublePipelined => Box::new(DoublePipelinedJoin::new(
-                    lsrc,
-                    rsrc,
-                    left_key.clone(),
-                    right_key.clone(),
-                    part_harness,
-                )),
-                JoinKind::HybridHash => Box::new(HashJoinOp::hybrid(
-                    lsrc,
-                    rsrc,
-                    left_key.clone(),
-                    right_key.clone(),
-                    part_harness,
-                )),
-                JoinKind::GraceHash => Box::new(HashJoinOp::grace(
-                    lsrc,
-                    rsrc,
-                    left_key.clone(),
-                    right_key.clone(),
-                    part_harness,
-                )),
-                // Guarded by the is_partitionable check at open entry.
-                other => unreachable!("non-partitionable {other:?} past eligibility check"),
-            };
-            instances.push(instance);
+        // Open every stream up front: a worker's blocks until it opened
+        // the fragment, so connection and plan errors surface here rather
+        // than mid-merge (workers stream ahead against their initial
+        // credits meanwhile). On failure, abort the survivors.
+        for flag in streams.iter().map(|s| s.abort_handle()) {
+            self.harness.register_cancel(flag.clone());
+            self.abort_flags.push(flag);
         }
+        for stream in streams.iter_mut() {
+            match stream.open() {
+                Ok(schema) => self.schema = schema,
+                Err(e) => {
+                    self.shutdown_threads();
+                    return Err(e);
+                }
+            }
+        }
+
+        let n = streams.len();
+        self.metrics = self.harness.metrics("exchange");
+        self.rows = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
+        self.spills = (0..n).map(|_| Arc::new(AtomicU64::new(0))).collect();
 
         // Lifecycle: the exchange owns the shared join subject's state.
         self.join_harness.opened();
         self.harness.opened();
         self.opened = true;
 
-        self.threads.push(std::thread::spawn(move || {
-            drive_side(left, lkey, part_channels_l)
-        }));
-        self.threads.push(std::thread::spawn(move || {
-            drive_side(right, rkey, part_channels_r)
-        }));
-        for (i, mut instance) in instances.into_iter().enumerate() {
-            let out = out_tx.clone();
-            let rows = self.part_rows[i].clone();
+        self.threads
+            .extend(drivers.into_iter().map(std::thread::spawn));
+        let (out_tx, out_rx) = bounded::<Msg>(n.max(2) * 2);
+        for (i, (stream, lease)) in streams.into_iter().zip(leases).enumerate() {
+            let (rows, spills, out) =
+                (self.rows[i].clone(), self.spills[i].clone(), out_tx.clone());
             self.threads.push(std::thread::spawn(move || {
-                let result = (|| -> Result<()> {
-                    instance.open()?;
-                    while let Some(batch) = instance.next_batch()? {
-                        rows.fetch_add(batch.len() as u64, Ordering::Relaxed);
-                        if out.send(Msg::Batch(batch)).is_err() {
-                            break; // consumer gone (early close)
-                        }
-                    }
-                    Ok(())
-                })();
-                let _ = instance.close();
-                let _ = match result {
-                    Ok(()) => out.send(Msg::End),
-                    Err(e) => out.send(Msg::Err(e)),
-                };
+                pump(stream, lease, rows, spills, out)
             }));
         }
-        self.live_workers = n;
+        self.live = n;
         self.rx = Some(out_rx);
         Ok(())
     }
 
     fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
         loop {
-            if self.live_workers == 0 {
+            if self.live == 0 {
                 return Ok(None);
             }
             let Some(rx) = &self.rx else {
@@ -466,7 +591,7 @@ impl Operator for Exchange {
                     return Ok(Some(b));
                 }
                 Ok(Msg::End) => {
-                    self.live_workers -= 1;
+                    self.live -= 1;
                 }
                 Ok(Msg::Err(e)) => {
                     self.harness.failed();
@@ -485,7 +610,6 @@ impl Operator for Exchange {
     fn close(&mut self) -> Result<()> {
         self.shutdown_threads();
         self.report_partition_stats();
-        self.part_spills.clear();
         if self.opened {
             self.join_harness.closed();
             self.harness.closed();

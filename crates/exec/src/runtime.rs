@@ -62,10 +62,9 @@ pub struct ExecEnv {
     /// Trace level installed on query controls this environment creates
     /// (an externally owned control keeps whatever its creator set).
     pub trace_level: TraceLevel,
-    /// Distributed shard executor (coordinator role): when installed, the
-    /// builder lowers `Exchange` nodes over joins into a
-    /// [`crate::operators::RemoteExchange`] that scatters partition
-    /// pipelines to worker processes instead of local threads.
+    /// Distributed shard executor (coordinator role): when installed, an
+    /// [`crate::operators::Exchange`] over a join takes its partition
+    /// streams from worker processes instead of local threads.
     pub shard_executor: Option<Arc<dyn ShardExecutor>>,
 }
 
@@ -861,7 +860,6 @@ impl QuantityProvider for PlanRuntime {
 /// operator's own reservation, and a scoped spill store for per-partition
 /// I/O attribution.
 struct PartitionCtx {
-    index: usize,
     reservation: Option<MemoryReservation>,
     spill: Arc<dyn SpillStore>,
 }
@@ -895,24 +893,14 @@ impl OpHarness {
     /// overridden with the partition's split.
     pub fn for_partition(
         &self,
-        index: usize,
         reservation: Option<MemoryReservation>,
         spill: Arc<dyn SpillStore>,
     ) -> OpHarness {
         OpHarness {
             rt: self.rt.clone(),
             subject: self.subject,
-            partition: Some(Arc::new(PartitionCtx {
-                index,
-                reservation,
-                spill,
-            })),
+            partition: Some(Arc::new(PartitionCtx { reservation, spill })),
         }
-    }
-
-    /// Partition index when this is a partition-instance harness.
-    pub fn partition_index(&self) -> Option<usize> {
-        self.partition.as_ref().map(|p| p.index)
     }
 
     /// The spill store this operator instance should overflow into: the

@@ -1,24 +1,26 @@
 //! Distributed shard execution support (DESIGN.md §12).
 //!
-//! A [`ShardExecutor`] is the coordinator's handle on a pool of worker
-//! processes: [`crate::operators::RemoteExchange`] asks it to scatter the
-//! partition pipelines of an optimizer-lowered `Exchange` and hands back
-//! one [`ShardStream`] per shard, whose union is the exchange's output.
-//! The transport lives in `tukwila-net`; this module only defines the
-//! contract plus the worker-side building blocks that must agree with the
-//! local [`crate::operators::Exchange`] on partitioning semantics:
+//! [`crate::operators::Exchange`] merges N [`ShardStream`]s — one per
+//! partition — whether the partitions run on threads of this process or
+//! on worker processes. A [`ShardExecutor`] is the coordinator's handle on
+//! a pool of workers: the exchange asks it to scatter the join subtree
+//! under an optimizer-lowered `Exchange` and gets one stream per shard
+//! back. The transport lives in `tukwila-net`; this module defines the
+//! contract plus the routing every partition agrees on:
 //!
-//! * [`ShardFilter`] keeps exactly the rows the local exchange would route
-//!   to one partition — same prehash, same [`fold_hash`] fold, same salt,
-//!   and the same "NULL keys are dropped" rule (a NULL never equi-joins).
+//! * [`route_batch`] is the one partition-routing function: the
+//!   in-process repartition drivers split batches with it, and a worker's
+//!   [`ShardFilter`] keeps the rows it sends to that worker's shard — same
+//!   prehash, same [`fold_hash`] fold, same salt, and the same "NULL keys
+//!   are dropped" rule (a NULL never equi-joins).
 //! * [`build_shard_root`] builds a worker's operator tree for one shard:
 //!   the dispatched join with both inputs wrapped in shard filters.
 //!
 //! Each worker recomputes the join's input subtrees from its own sources
 //! and keeps only its shard (shared-nothing scatter; inputs are never
 //! shipped through the coordinator), so the union over all shards equals
-//! the local join for any equi-join kind — including the kinds the local
-//! exchange cannot thread-partition.
+//! the local join for any equi-join kind — including the kinds thread
+//! partitions cannot run.
 
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -26,15 +28,13 @@ use std::time::Duration;
 
 use tukwila_common::{fold_hash, KeyVector, Relation, Result, Schema, TukwilaError, TupleBatch};
 use tukwila_plan::{
-    print_plan, Fragment, FragmentId, JoinKind, OperatorNode, OperatorSpec, QueryPlan, SubjectRef,
+    print_plan, Fragment, FragmentId, OperatorNode, OperatorSpec, QueryPlan, SubjectRef,
 };
 use tukwila_trace::QueryTrace;
 
-use crate::build::build_operator;
+use crate::build::{build_join, build_operator, subtree_subjects};
 use crate::control::QueryControl;
 use crate::operator::{Operator, OperatorBox};
-use crate::operators::exchange::EXCHANGE_SALT;
-use crate::operators::{DoublePipelinedJoin, HashJoinOp, NestedLoopsJoin, SortMergeJoin};
 use crate::runtime::{OpHarness, PlanRuntime};
 
 /// Everything a worker needs to run one shard of a scattered exchange.
@@ -73,13 +73,13 @@ pub struct ShardStats {
     pub spill_tuples: u64,
 }
 
-/// One shard's result stream at the coordinator.
+/// One partition's result stream, as the exchange merges it: a worker
+/// shard at the coordinator, or an in-process join instance.
 pub trait ShardStream: Send {
-    /// Worker identity (address) for diagnostics and trace events.
-    fn worker(&self) -> &str;
-
-    /// Block until the shard started executing and report its output
-    /// schema. Must be called exactly once before `next_batch`.
+    /// Report the output schema — a worker stream blocks until its shard
+    /// started executing. Called exactly once, on the exchange's own
+    /// thread, before `next_batch` (which runs on the stream's pump
+    /// thread).
     fn open(&mut self) -> Result<Schema>;
 
     /// Next batch of shard output, or `None` once the shard completed.
@@ -89,9 +89,10 @@ pub trait ShardStream: Send {
     /// Completion statistics (valid after `next_batch` returned `None`).
     fn stats(&self) -> ShardStats;
 
-    /// Flag that makes a blocked `open`/`next_batch` bail out promptly
-    /// (registered with the query control for cancellation, and set by the
-    /// exchange on early close).
+    /// Flag that makes `open`/`next_batch` bail out with an error promptly
+    /// (an in-process stream checks it between batches); registered with
+    /// the query control for cancellation, and set by the exchange on
+    /// early close.
     fn abort_handle(&self) -> Arc<AtomicBool>;
 }
 
@@ -99,10 +100,6 @@ pub trait ShardStream: Send {
 /// the per-shard result streams. Implemented by `tukwila_net::Cluster`
 /// over TCP; tests may install in-process fakes.
 pub trait ShardExecutor: Send + Sync {
-    /// Number of distinct workers behind this executor (shards are dealt
-    /// round-robin across them).
-    fn worker_count(&self) -> usize;
-
     /// Dispatch `spec.shard_count` shards and return their streams, in
     /// shard order. Streams are not yet opened.
     fn start(
@@ -158,9 +155,62 @@ pub fn subtree_table_deps(node: &OperatorNode) -> Vec<String> {
     out
 }
 
-/// Filter a child's output down to one shard: keep rows whose join-key
-/// prehash folds to `shard_index`, drop NULL keys (identical routing to
-/// the local exchange's `drive_side`).
+/// Salt for partition routing — distinct from the joins' bucket salt (0)
+/// and the `PrehashMap` slot salt, so the three layers of the same prehash
+/// stay uncorrelated.
+const EXCHANGE_SALT: u64 = 0x5851_F42D_4C95_7F2D;
+
+/// The partition-routing rule every exchange shares, on threads and on
+/// workers alike: row `i` of `batch` belongs to partition
+/// `fold_hash(prehash(key), n, EXCHANGE_SALT)`, and rows with a NULL key
+/// belong to none (a NULL never equi-joins). Returns the non-empty
+/// partitions' rows as `(partition, batch)` pairs — gathered column-wise
+/// when `batch` is columnar, so partition streams stay typed end to end —
+/// restricted to partition `only` when given. A batch that routes whole
+/// to `only` comes back untouched.
+pub fn route_batch(
+    batch: TupleBatch,
+    key_idx: usize,
+    n: usize,
+    only: Option<usize>,
+) -> Vec<(usize, TupleBatch)> {
+    let kv = KeyVector::compute(&batch, key_idx);
+    let mut idx: Vec<Vec<u32>> = vec![Vec::new(); n];
+    for (i, h) in kv.iter().enumerate() {
+        if let Some(h) = h {
+            let p = fold_hash(h, n, EXCHANGE_SALT);
+            if only.is_none_or(|o| o == p) {
+                idx[p].push(i as u32);
+            }
+        }
+    }
+    if let Some(p) = only {
+        if idx[p].len() == batch.len() {
+            return vec![(p, batch)];
+        }
+    }
+    let parts = idx
+        .into_iter()
+        .enumerate()
+        .filter(|(_, rows)| !rows.is_empty());
+    match batch.columns() {
+        Some(cols) => parts
+            .map(|(p, rows)| (p, TupleBatch::from_columns(cols.gather(&rows))))
+            .collect(),
+        None => {
+            let tuples = batch.tuples();
+            parts
+                .map(|(p, rows)| {
+                    let part = rows.iter().map(|&i| tuples[i as usize].clone()).collect();
+                    (p, TupleBatch::from_tuples(part))
+                })
+                .collect()
+        }
+    }
+}
+
+/// Filter a child's output down to one shard: the rows [`route_batch`]
+/// sends to `shard_index`.
 pub struct ShardFilter {
     child: OperatorBox,
     key: String,
@@ -186,49 +236,21 @@ impl ShardFilter {
 impl Operator for ShardFilter {
     fn open(&mut self) -> Result<()> {
         self.child.open()?;
-        match self.child.schema().index_of(&self.key) {
-            Ok(idx) => {
-                self.key_idx = idx;
-                Ok(())
-            }
-            Err(e) => {
-                let _ = self.child.close();
-                Err(e)
-            }
-        }
+        self.key_idx = self.child.schema().index_of(&self.key).inspect_err(|_| {
+            let _ = self.child.close();
+        })?;
+        Ok(())
     }
 
     fn next_batch(&mut self) -> Result<Option<TupleBatch>> {
-        loop {
-            let Some(batch) = self.child.next_batch()? else {
-                return Ok(None);
-            };
-            let kv = KeyVector::compute(&batch, self.key_idx);
-            let mut rows: Vec<u32> = Vec::with_capacity(batch.len());
-            for (i, h) in kv.iter().enumerate() {
-                if let Some(h) = h {
-                    if fold_hash(h, self.shard_count, EXCHANGE_SALT) == self.shard_index {
-                        rows.push(i as u32);
-                    }
-                }
+        let only = Some(self.shard_index);
+        while let Some(batch) = self.child.next_batch()? {
+            if let Some((_, part)) = route_batch(batch, self.key_idx, self.shard_count, only).pop()
+            {
+                return Ok(Some(part));
             }
-            if rows.len() == batch.len() {
-                return Ok(Some(batch));
-            }
-            if rows.is_empty() {
-                continue;
-            }
-            let out = match batch.columns() {
-                Some(cols) => TupleBatch::from_columns(cols.gather(&rows)),
-                None => {
-                    let tuples = batch.tuples();
-                    TupleBatch::from_tuples(
-                        rows.iter().map(|&i| tuples[i as usize].clone()).collect(),
-                    )
-                }
-            };
-            return Ok(Some(out));
         }
+        Ok(None)
     }
 
     fn close(&mut self) -> Result<()> {
@@ -247,7 +269,7 @@ impl Operator for ShardFilter {
 /// Build a worker's operator tree for one shard of a dispatched fragment:
 /// the root join with both inputs wrapped in [`ShardFilter`]s. With a
 /// single shard there is nothing to filter and the tree builds as-is.
-/// Unlike the local exchange this handles *any* equi-join kind — hash
+/// Unlike thread partitions this handles *any* equi-join kind — hash
 /// partitioning by the join key is correct for all of them.
 pub fn build_shard_root(
     node: &OperatorNode,
@@ -271,33 +293,21 @@ pub fn build_shard_root(
             "shard {shard_index}/{shard_count}: dispatched fragment root must be a join"
         )));
     };
-    let l: OperatorBox = Box::new(ShardFilter::new(
-        build_operator(left, rt)?,
+    let filtered = |input: &OperatorNode, key: &String| -> Result<OperatorBox> {
+        Ok(Box::new(ShardFilter::new(
+            build_operator(input, rt)?,
+            key.clone(),
+            shard_index,
+            shard_count,
+        )))
+    };
+    Ok(build_join(
+        *kind,
+        filtered(left, left_key)?,
+        filtered(right, right_key)?,
         left_key.clone(),
-        shard_index,
-        shard_count,
-    ));
-    let r: OperatorBox = Box::new(ShardFilter::new(
-        build_operator(right, rt)?,
         right_key.clone(),
-        shard_index,
-        shard_count,
-    ));
-    let harness = OpHarness::new(rt.clone(), SubjectRef::Op(node.id));
-    let (lk, rk) = (left_key.clone(), right_key.clone());
-    Ok(match kind {
-        JoinKind::DoublePipelined => {
-            let descendants: Vec<SubjectRef> = left
-                .all_ids()
-                .into_iter()
-                .chain(right.all_ids())
-                .map(SubjectRef::Op)
-                .collect();
-            Box::new(DoublePipelinedJoin::new(l, r, lk, rk, harness).with_descendants(descendants))
-        }
-        JoinKind::HybridHash => Box::new(HashJoinOp::hybrid(l, r, lk, rk, harness)),
-        JoinKind::GraceHash => Box::new(HashJoinOp::grace(l, r, lk, rk, harness)),
-        JoinKind::NestedLoops => Box::new(NestedLoopsJoin::new(l, r, lk, rk, harness)),
-        JoinKind::SortMerge => Box::new(SortMergeJoin::new(l, r, lk, rk, harness)),
-    })
+        OpHarness::new(rt.clone(), SubjectRef::Op(node.id)),
+        subtree_subjects(left, right),
+    ))
 }

@@ -7,8 +7,8 @@
 //! Failure semantics: a worker dying mid-query surfaces on its stream as
 //! an `Io` error (the frame reader sees EOF, never a hang — reads tick
 //! every 50ms to observe cancel flags) and emits a `worker-lost` trace
-//! event; the consuming `RemoteExchange` then fails the query and releases
-//! the shard's memory reservation.
+//! event; the consuming `Exchange` then fails the query and releases the
+//! shard's memory reservation.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -105,10 +105,6 @@ fn dial(addr: &str) -> Result<(FrameReader<TcpStream>, FrameWriter<TcpStream>)> 
 }
 
 impl ShardExecutor for Cluster {
-    fn worker_count(&self) -> usize {
-        self.addrs.len()
-    }
-
     fn start(
         &self,
         spec: &ShardSpec,
@@ -204,10 +200,6 @@ impl TcpShardStream {
 }
 
 impl ShardStream for TcpShardStream {
-    fn worker(&self) -> &str {
-        &self.worker
-    }
-
     fn open(&mut self) -> Result<Schema> {
         match self.next_msg()? {
             (Msg::Started { schema }, _) => Ok(schema),

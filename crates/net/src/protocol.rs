@@ -122,32 +122,18 @@ fn is_timeout(e: &std::io::Error) -> bool {
 
 // ---- primitive cursor helpers -------------------------------------------
 
-fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
-    if *pos + n > buf.len() {
-        return Err(TukwilaError::Io(format!(
-            "net codec: truncated frame (need {n} bytes at {pos}, have {})",
-            buf.len()
-        )));
-    }
-    let s = &buf[*pos..*pos + n];
-    *pos += n;
-    Ok(s)
-}
+// The spill codec's cursor, so disk and wire fail truncation the same way.
 
 fn get_u8(buf: &[u8], pos: &mut usize) -> Result<u8> {
-    Ok(take(buf, pos, 1)?[0])
+    Ok(codec::take(buf, pos, 1)?[0])
 }
 
 fn get_u32(buf: &[u8], pos: &mut usize) -> Result<u32> {
-    let b = take(buf, pos, 4)?;
-    Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    Ok(u32::from_le_bytes(codec::take_array(buf, pos)?))
 }
 
 fn get_u64(buf: &[u8], pos: &mut usize) -> Result<u64> {
-    let b = take(buf, pos, 8)?;
-    let mut a = [0u8; 8];
-    a.copy_from_slice(b);
-    Ok(u64::from_le_bytes(a))
+    Ok(u64::from_le_bytes(codec::take_array(buf, pos)?))
 }
 
 fn put_str(s: &str, out: &mut Vec<u8>) {
@@ -162,7 +148,7 @@ fn get_str(buf: &[u8], pos: &mut usize) -> Result<String> {
             "net codec: implausible string length {n}"
         )));
     }
-    let bytes = take(buf, pos, n)?;
+    let bytes = codec::take(buf, pos, n)?;
     String::from_utf8(bytes.to_vec())
         .map_err(|e| TukwilaError::Io(format!("net codec: bad utf8: {e}")))
 }
@@ -210,7 +196,8 @@ fn decode_schema(buf: &[u8], pos: &mut usize) -> Result<Schema> {
             "net codec: implausible arity {n}"
         )));
     }
-    let mut fields = Vec::with_capacity(n);
+    // Each field is at least two empty strings' length words and a tag.
+    let mut fields = Vec::with_capacity(codec::bounded_capacity(n, buf, *pos, 9));
     for _ in 0..n {
         let qualifier = get_str(buf, pos)?;
         let name = get_str(buf, pos)?;
@@ -245,7 +232,8 @@ fn decode_relation(buf: &[u8], pos: &mut usize) -> Result<Relation> {
             "net codec: implausible chunk count {chunks}"
         )));
     }
-    let mut batches = Vec::with_capacity(chunks);
+    // Each chunk is at least one batch frame's 4-byte count word.
+    let mut batches = Vec::with_capacity(codec::bounded_capacity(chunks, buf, *pos, 4));
     for _ in 0..chunks {
         batches.push(codec::decode_batch(buf, pos)?);
     }
@@ -420,6 +408,12 @@ impl<R: Read> FrameReader<R> {
         self.bytes_received
     }
 
+    /// Payload length the current header declares.
+    fn frame_len(&self) -> usize {
+        let [_, a, b, c, d] = self.header;
+        u32::from_le_bytes([a, b, c, d]) as usize
+    }
+
     /// Read one complete frame: `Ok(Some((kind, payload)))`, or `Ok(None)`
     /// if the underlying read timed out (call again after checking cancel
     /// flags).
@@ -434,23 +428,24 @@ impl<R: Read> FrameReader<R> {
                     Err(e) => return Err(TukwilaError::Io(format!("net read: {e}"))),
                 }
             }
-            let len = u32::from_le_bytes([
-                self.header[1],
-                self.header[2],
-                self.header[3],
-                self.header[4],
-            ]) as usize;
+            let len = self.frame_len();
             if len > MAX_FRAME_LEN {
                 return Err(TukwilaError::Io(format!(
                     "net: implausible frame length {len}"
                 )));
             }
             self.payload.clear();
-            self.payload.resize(len, 0);
             self.payload_filled = 0;
             self.in_payload = true;
         }
-        while self.payload_filled < self.payload.len() {
+        let len = self.frame_len();
+        while self.payload_filled < len {
+            // Grow with the bytes that arrive, not with the length the
+            // header claims: a bare header must not cost a 1 GiB zero-fill.
+            if self.payload_filled == self.payload.len() {
+                let grow = (2 * self.payload_filled).max(self.payload.capacity());
+                self.payload.resize(grow.max(64).min(len), 0);
+            }
             let fill = &mut self.payload[self.payload_filled..];
             match self.r.read(fill) {
                 Ok(0) => return Err(closed("reading frame payload")),
@@ -501,7 +496,9 @@ pub fn decode_msg(kind: u8, payload: &[u8]) -> Result<Msg> {
                     "net codec: implausible table count {ntables}"
                 )));
             }
-            let mut tables = Vec::with_capacity(ntables);
+            // Each table is at least a name length, an arity and a chunk
+            // count: three 4-byte words.
+            let mut tables = Vec::with_capacity(codec::bounded_capacity(ntables, buf, pos, 12));
             for _ in 0..ntables {
                 let name = get_str(buf, &mut pos)?;
                 let rel = decode_relation(buf, &mut pos)?;

@@ -12,11 +12,13 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use tukwila_common::{DataType, Relation, Schema, Tuple, Value};
+use tukwila_core::execute_plan_traced;
 use tukwila_exec::runtime::{ExecEnv, PlanRuntime};
 use tukwila_exec::{build_operator, drain};
 use tukwila_net::{Cluster, WorkerHandle, WorkerServer};
 use tukwila_plan::{JoinKind, OperatorNode, OverflowMethod, PlanBuilder, QueryPlan};
 use tukwila_source::{LinkModel, SimulatedSource, SourceRegistry};
+use tukwila_trace::{TraceEvent, TraceLevel};
 
 fn multiset(tuples: &[Tuple]) -> HashMap<Tuple, usize> {
     let mut m = HashMap::new();
@@ -216,4 +218,59 @@ proptest! {
             .map_err(|e| TestCaseError(format!("distributed run failed: {e}")))?;
         prop_assert_eq!(multiset(&got), gold);
     }
+}
+
+/// What one exchange run reports about its partitions: the
+/// `PartitionSkew` row vector, `ExecutionStats::partitions`, and the
+/// per-partition spill tuples.
+fn partition_report(env: ExecEnv, plan: &QueryPlan) -> (Vec<u64>, usize, Vec<u64>) {
+    let env = env.with_batch_size(64).with_trace_level(TraceLevel::Events);
+    let (_, stats, trace) = execute_plan_traced(plan, env).expect("exchange run");
+    let skew = trace
+        .expect("events are recorded")
+        .events
+        .into_iter()
+        .find_map(|r| match r.event {
+            TraceEvent::PartitionSkew { rows, .. } => Some(rows),
+            _ => None,
+        })
+        .expect("the exchange reports its skew");
+    let [spills] = &stats.partition_spills[..] else {
+        panic!("one exchange ran: {:?}", stats.partition_spills);
+    };
+    (skew, stats.partitions, spills.tuples.clone())
+}
+
+#[test]
+fn threads_and_workers_report_one_partition_taxonomy() {
+    // NULL keys on both sides: both modes must drop the same rows.
+    let l = rel_of("l", &keyed_rows(400, 25, Some(13)));
+    let r = rel_of("r", &keyed_rows(400, 25, Some(7)));
+    let plan = exchange_plan(JoinKind::HybridHash, Some(3_000), 2);
+
+    let threads = partition_report(ExecEnv::new(registry(&l, &r)), &plan);
+
+    let handles: Vec<WorkerHandle> = (0..2)
+        .map(|_| {
+            WorkerServer::bind("127.0.0.1:0", registry(&l, &r))
+                .expect("bind worker")
+                .spawn()
+                .expect("spawn worker")
+        })
+        .collect();
+    let addrs: Vec<String> = handles.iter().map(|h| h.addr()).collect();
+    let cluster = Cluster::connect(&addrs).expect("dial loopback workers");
+    let env = ExecEnv::new(registry(&l, &r)).with_shard_executor(Arc::new(cluster));
+    let workers = partition_report(env, &plan);
+    for h in handles {
+        h.shutdown();
+    }
+
+    assert_eq!(threads.1, 2, "thread run partition degree");
+    assert!(
+        threads.2.iter().all(|&s| s > 0),
+        "the budget must make every partition spill: {:?}",
+        threads.2
+    );
+    assert_eq!(threads, workers, "(skew rows, partitions, spills) differ");
 }

@@ -95,10 +95,10 @@ impl<'a> Lowerer<'a> {
         if partial {
             plan.complete = false;
         }
-        tukwila_plan::validate_plan(&plan)?;
-        // Every lowered plan goes through the full static analyzer before
-        // it can execute. Error findings are optimizer bugs: loud in tests,
-        // a hard failure (instead of a runtime surprise) in release.
+        // Every lowered plan goes through the full static analyzer — its
+        // structure and rule passes included — once before it can execute.
+        // Error findings are optimizer bugs: loud in tests, a hard failure
+        // (instead of a runtime surprise) in release.
         let analysis = tukwila_analyze::Analyzer::new()
             .with_catalog(self.catalog)
             .with_max_parallelism(self.config.max_parallelism)

@@ -16,9 +16,10 @@
 //!   of §3.1.2) — plus duplicate, unreachable, shadowed and dead-timeout
 //!   rule detection.
 //!
-//! [`validate_plan`] is the hard-failure wrapper the parser and lowerer
-//! call: it runs both passes and converts the first Error-severity finding
-//! into a [`TukwilaError`].
+//! [`validate_plan`] is the hard-failure wrapper for parsed plans: it runs
+//! both passes and converts the first Error-severity finding into a
+//! [`TukwilaError`]. Lowered plans go through the full analyzer instead,
+//! which runs these two passes itself.
 
 use std::collections::BTreeSet;
 

@@ -56,35 +56,46 @@ pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
-fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
+/// Capacity to reserve for `count` items of at least `min_encoded` bytes
+/// each when decoding from `pos` in `buf`. A corrupt or hostile header can
+/// claim any count, but the bytes left can hold only so many items, so
+/// allocation stays proportional to the input; a short buffer then fails
+/// on its first missing item instead of after a huge reservation.
+pub fn bounded_capacity(count: usize, buf: &[u8], pos: usize, min_encoded: usize) -> usize {
+    count.min(buf.len().saturating_sub(pos) / min_encoded)
+}
+
+/// The next `n` bytes, advancing `pos`; `Err` when fewer remain.
+pub fn take<'a>(buf: &'a [u8], pos: &mut usize, n: usize) -> Result<&'a [u8]> {
     let end = *pos + n;
     let slice = buf
         .get(*pos..end)
-        .ok_or_else(|| TukwilaError::Io(format!("spill codec: truncated at byte {pos}")))?;
+        .ok_or_else(|| TukwilaError::Io(format!("codec: truncated at byte {pos}")))?;
     *pos = end;
     Ok(slice)
+}
+
+/// The next `N` bytes as an array (for `from_le_bytes`), advancing `pos`.
+pub fn take_array<const N: usize>(buf: &[u8], pos: &mut usize) -> Result<[u8; N]> {
+    let mut a = [0u8; N];
+    a.copy_from_slice(take(buf, pos, N)?);
+    Ok(a)
 }
 
 /// Decode one value starting at `pos`, advancing `pos`.
 pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value> {
     let tag = take(buf, pos, 1)?[0];
     match tag {
-        TAG_INT => Ok(Value::Int(i64::from_le_bytes(
-            take(buf, pos, 8)?.try_into().unwrap(),
-        ))),
-        TAG_DOUBLE => Ok(Value::Double(f64::from_le_bytes(
-            take(buf, pos, 8)?.try_into().unwrap(),
-        ))),
+        TAG_INT => Ok(Value::Int(i64::from_le_bytes(take_array(buf, pos)?))),
+        TAG_DOUBLE => Ok(Value::Double(f64::from_le_bytes(take_array(buf, pos)?))),
         TAG_STR => {
-            let len = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
+            let len = u32::from_le_bytes(take_array(buf, pos)?) as usize;
             let bytes = take(buf, pos, len)?;
             let s = std::str::from_utf8(bytes)
                 .map_err(|e| TukwilaError::Io(format!("spill codec: bad utf8: {e}")))?;
             Ok(Value::str(s))
         }
-        TAG_DATE => Ok(Value::Date(i32::from_le_bytes(
-            take(buf, pos, 4)?.try_into().unwrap(),
-        ))),
+        TAG_DATE => Ok(Value::Date(i32::from_le_bytes(take_array(buf, pos)?))),
         TAG_NULL => Ok(Value::Null),
         other => Err(TukwilaError::Io(format!(
             "spill codec: unknown value tag {other}"
@@ -102,13 +113,13 @@ pub fn encode_tuple(t: &Tuple, out: &mut Vec<u8>) {
 
 /// Decode one tuple starting at `pos`, advancing `pos`.
 pub fn decode_tuple(buf: &[u8], pos: &mut usize) -> Result<Tuple> {
-    let arity = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
+    let arity = u32::from_le_bytes(take_array(buf, pos)?) as usize;
     if arity > 1 << 20 {
         return Err(TukwilaError::Io(format!(
             "spill codec: implausible arity {arity}"
         )));
     }
-    let mut values = Vec::with_capacity(arity);
+    let mut values = Vec::with_capacity(bounded_capacity(arity, buf, *pos, 1));
     for _ in 0..arity {
         values.push(decode_value(buf, pos)?);
     }
@@ -229,7 +240,7 @@ fn encode_column(col: &Column, out: &mut Vec<u8>) {
 fn decode_column(buf: &[u8], pos: &mut usize, len: usize) -> Result<Column> {
     let kind = take(buf, pos, 1)?[0];
     if kind == COL_VALUES {
-        let mut v = Vec::with_capacity(len);
+        let mut v = Vec::with_capacity(bounded_capacity(len, buf, *pos, 1));
         for _ in 0..len {
             v.push(decode_value(buf, pos)?);
         }
@@ -238,25 +249,23 @@ fn decode_column(buf: &[u8], pos: &mut usize, len: usize) -> Result<Column> {
     let validity = decode_validity(buf, pos, len)?;
     match kind {
         COL_INT64 => {
-            let mut v = Vec::with_capacity(len);
+            let mut v = Vec::with_capacity(bounded_capacity(len, buf, *pos, 8));
             for _ in 0..len {
-                v.push(i64::from_le_bytes(take(buf, pos, 8)?.try_into().unwrap()));
+                v.push(i64::from_le_bytes(take_array(buf, pos)?));
             }
             Ok(Column::Int64(v, validity))
         }
         COL_FLOAT64 => {
-            let mut v = Vec::with_capacity(len);
+            let mut v = Vec::with_capacity(bounded_capacity(len, buf, *pos, 8));
             for _ in 0..len {
-                v.push(f64::from_bits(u64::from_le_bytes(
-                    take(buf, pos, 8)?.try_into().unwrap(),
-                )));
+                v.push(f64::from_bits(u64::from_le_bytes(take_array(buf, pos)?)));
             }
             Ok(Column::Float64(v, validity))
         }
         COL_STR => {
-            let mut v: Vec<Arc<str>> = Vec::with_capacity(len);
+            let mut v: Vec<Arc<str>> = Vec::with_capacity(bounded_capacity(len, buf, *pos, 4));
             for _ in 0..len {
-                let n = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
+                let n = u32::from_le_bytes(take_array(buf, pos)?) as usize;
                 let s = std::str::from_utf8(take(buf, pos, n)?)
                     .map_err(|e| TukwilaError::Io(format!("spill codec: bad utf8: {e}")))?;
                 v.push(Arc::from(s));
@@ -264,9 +273,9 @@ fn decode_column(buf: &[u8], pos: &mut usize, len: usize) -> Result<Column> {
             Ok(Column::Str(v, validity))
         }
         COL_DATE => {
-            let mut v = Vec::with_capacity(len);
+            let mut v = Vec::with_capacity(bounded_capacity(len, buf, *pos, 4));
             for _ in 0..len {
-                v.push(i32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()));
+                v.push(i32::from_le_bytes(take_array(buf, pos)?));
             }
             Ok(Column::Date(v, validity))
         }
@@ -331,7 +340,7 @@ pub fn encode_columns(cols: &ColumnarBatch, out: &mut Vec<u8>) {
 /// the count word's high bit: columnar frames decode straight into a
 /// columnar [`TupleBatch`] (no row materialization), row frames as before.
 pub fn decode_batch(buf: &[u8], pos: &mut usize) -> Result<TupleBatch> {
-    let word = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap());
+    let word = u32::from_le_bytes(take_array(buf, pos)?);
     let count = (word & !COLS_FLAG) as usize;
     if count > 1 << 26 {
         return Err(TukwilaError::Io(format!(
@@ -339,19 +348,20 @@ pub fn decode_batch(buf: &[u8], pos: &mut usize) -> Result<TupleBatch> {
         )));
     }
     if word & COLS_FLAG != 0 {
-        let ncols = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
+        let ncols = u32::from_le_bytes(take_array(buf, pos)?) as usize;
         if ncols > 1 << 20 {
             return Err(TukwilaError::Io(format!(
                 "spill codec: implausible column count {ncols}"
             )));
         }
-        let mut cols = Vec::with_capacity(ncols);
+        let mut cols = Vec::with_capacity(bounded_capacity(ncols, buf, *pos, 1));
         for _ in 0..ncols {
             cols.push(decode_column(buf, pos, count)?);
         }
         return Ok(TupleBatch::from_columns(ColumnarBatch::new(count, cols)));
     }
-    let mut batch = TupleBatch::with_capacity(count.max(1));
+    // Every row-frame tuple carries at least its 4-byte arity word.
+    let mut batch = TupleBatch::with_capacity(bounded_capacity(count, buf, *pos, 4).max(1));
     for _ in 0..count {
         batch.push(decode_tuple(buf, pos)?);
     }
